@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <optional>
 #include <utility>
 
 #include "serve/explainers.hpp"
@@ -364,17 +365,24 @@ void ExplanationServer::handle_frame(Connection& conn, const serve::Frame& frame
     }
 
     const std::uint64_t id = er.id;
+    std::optional<serve::ExplainResponse> answered;
     const auto rejected = service_.submit_async(
         std::move(er),
         // Dispatcher thread: render (pure) and marshal onto the loop over
         // the lock-free ring; the eventfd write is coalesced per drain.
         [channel = channel_, conn_id = conn.id(), seq](serve::ExplainResponse r) {
             channel->push({conn_id, seq, serve::render_response(r)});
-        });
+        },
+        &answered);
     if (rejected != serve::ServeError::none) {
         conn.fulfill(seq, render_error_line(
                               id, rejected,
                               std::string("rejected: ") + to_string(rejected)));
+    } else if (answered) {
+        // Cache hit answered at admission: rendered and staged right here on
+        // the loop thread (never through the ring, whose only producer is
+        // the dispatcher); the pump after this read writes it out.
+        conn.fulfill(seq, serve::render_response(*answered));
     }
 }
 

@@ -10,11 +10,14 @@
 // answer.  DESIGN.md section 12 describes the model in full.
 //
 // Threading: one event-loop thread owns all sockets and per-connection
-// state.  The service's dispatcher thread delivers completions through
-// submit_async callbacks, which render the response line (a pure function)
-// and hand (connection, slot, line) to the loop through a lock-free SPSC
-// completion ring (net/spsc_ring.hpp) plus a coalesced eventfd wake — the
-// dispatcher never touches a socket, and the data path never takes a lock.
+// state.  A cache hit is answered at admission: submit_async hands the
+// response back to the loop thread, which renders it into the request's slot
+// in the same event.  Every other request completes on the service's
+// dispatcher thread through its submit_async callback, which renders the
+// response line (a pure function) and hands (connection, slot, line) to the
+// loop through a lock-free SPSC completion ring (net/spsc_ring.hpp) plus a
+// coalesced eventfd wake — the dispatcher never touches a socket, the ring
+// has exactly one producer, and the data path never takes a lock.
 // One server is one shard of the thread-per-core ShardedServer
 // (net/sharded_server.hpp); run standalone it is the single-loop server of
 // DESIGN.md section 12.
@@ -235,10 +238,11 @@ private:
     /// server object is gone lands in a detached (loop == nullptr) channel
     /// instead of freed memory.  The data path is the lock-free SPSC ring
     /// (producer: the service's dispatcher — one thread at a time, respawns
-    /// and the stop()-time drain are join-sequenced; consumer: the loop
-    /// thread).  `notify_mutex` guards only the loop pointer for the rare
-    /// detach race, never the payload, and `wake` coalesces a burst of
-    /// completions into one eventfd write.
+    /// and the stop()-time drain are join-sequenced; admission-time cache
+    /// hits never enter it; consumer: the loop thread).  `notify_mutex`
+    /// guards only the loop pointer for the rare detach race, never the
+    /// payload, and `wake` coalesces a burst of completions into one
+    /// eventfd write.
     struct CompletionChannel {
         explicit CompletionChannel(std::size_t capacity) : ring(capacity) {}
 
@@ -269,8 +273,8 @@ private:
     void on_conn_event(std::uint64_t conn_id, std::uint32_t events);
     void on_wake();
     void on_tick();
-    /// Parses one frame and either answers it synchronously (errors, quit)
-    /// or submits it and leaves a pending pipeline slot.
+    /// Parses one frame and either answers it synchronously (errors, quit,
+    /// cache hits) or submits it and leaves a pending pipeline slot.
     void handle_frame(Connection& conn, const serve::Frame& frame);
     /// Moves every resolvable head-of-line slot into the output buffer.
     void pump(Connection& conn);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,20 @@
 namespace xnfv::serve {
 
 namespace {
+
+/// Appends json_number(v) to `out` without a temporary string.  The
+/// precision form of to_chars is specified to produce exactly printf's
+/// "%.17g" bytes, at a fraction of its cost (no locale, no format parsing).
+void append_json_number(std::string& out, double v) {
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    char buf[32];  // "%.17g" needs at most 24: sign, 17 digits, '.', "e-308"
+    const auto res =
+        std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+}
 
 /// Recursive-descent parser over a string; tracks position for errors.
 class Parser {
@@ -481,10 +496,9 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_number(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    append_json_number(out, v);
+    return out;
 }
 
 void JsonWriter::key_prefix(const std::string& key) {
@@ -507,7 +521,7 @@ void JsonWriter::field(const std::string& key, const char* value) {
 
 void JsonWriter::field(const std::string& key, double value) {
     key_prefix(key);
-    body_ += json_number(value);
+    append_json_number(body_, value);
 }
 
 void JsonWriter::field(const std::string& key, std::uint64_t value) {
@@ -525,7 +539,7 @@ void JsonWriter::field_array(const std::string& key, const std::vector<double>& 
     body_ += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i != 0) body_ += ',';
-        body_ += json_number(values[i]);
+        append_json_number(body_, values[i]);
     }
     body_ += ']';
 }

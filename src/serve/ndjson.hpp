@@ -125,8 +125,8 @@ private:
 /// Escapes a string for embedding inside JSON quotes ("\n" -> "\\n", ...).
 [[nodiscard]] std::string json_escape(const std::string& s);
 
-/// Shortest round-trippable rendering of a double (%.17g; nan/inf -> null,
-/// which JSON cannot represent).
+/// Round-trippable rendering of a double, byte-identical to printf's
+/// "%.17g" (nan/inf -> null, which JSON cannot represent).
 [[nodiscard]] std::string json_number(double v);
 
 /// Incremental writer for one flat response object:

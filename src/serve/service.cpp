@@ -253,7 +253,7 @@ void ExplanationService::stop() {
             if (dispatcher_.joinable()) dispatcher_.join();
         }
         // If the dispatcher died to a fault with work still queued, serve
-        // the stragglers on this thread — stop() never drops a promise.
+        // the stragglers on this thread — stop() never drops a completion.
         drain_inline();
         if (!config_.snapshot_path.empty()) save_snapshot();
     });
@@ -301,39 +301,47 @@ ServeError ExplanationService::prepare_job(ExplainRequest request, Job& job) {
 }
 
 ExplanationService::Submission ExplanationService::submit(ExplainRequest request) {
+    auto promise = std::make_shared<std::promise<ExplainResponse>>();
     Submission out;
-    Job job;
-    ServeError reject = prepare_job(std::move(request), job);
-    const std::shared_ptr<ModelEntry> entry = job.model_entry;
-    if (reject == ServeError::none) {
-        out.response = job.promise.get_future();
-        reject = queue_.try_push(std::move(job));
-    }
-    if (reject != ServeError::none) {
-        out.rejected = reject;
-        out.response = {};
-        metrics_.requests_rejected.inc();
-        metrics_.count_error(reject);
-        if (entry && reject == ServeError::quota_exceeded) entry->rejected_quota.inc();
-        // prepare_job admitted (possibly as a half-open probe) but the
-        // queue refused: release the probe so the next request can retry it.
-        if (entry) entry->breaker_abandon(config_.breaker);
-        return out;
-    }
-    entry->admitted.inc();
-    metrics_.requests_accepted.inc();
-    metrics_.queue_depth.set(queue_.size());
+    out.response = promise->get_future();
+    out.rejected = submit_async(std::move(request), [promise](ExplainResponse r) {
+        promise->set_value(std::move(r));
+    });
+    if (out.rejected != ServeError::none) out.response = {};
     return out;
 }
 
 ServeError ExplanationService::submit_async(
-    ExplainRequest request, std::function<void(ExplainResponse)> on_complete) {
-    // Same validation as submit(); the callback rides in the Job so the
-    // batch executor completes it in place of the promise.
+    ExplainRequest request, std::function<void(ExplainResponse)> on_complete,
+    std::optional<ExplainResponse>* answered) {
     Job job;
     ServeError reject = prepare_job(std::move(request), job);
     const std::shared_ptr<ModelEntry> entry = job.model_entry;
+    // Checked here, not only by the queue: a cached answer must not outlive
+    // stop() either.
+    if (reject == ServeError::none && queue_.closed())
+        reject = ServeError::service_stopped;
     if (reject == ServeError::none) {
+        // A hit needs no compute, so it skips the queue, the batch wait and
+        // the dispatcher hop; it is counted as execute_batch counts a hit
+        // (and, like there, never observed for drift).  A miss is queued;
+        // execute_batch probes again for keys inserted while it waited.
+        if (auto cached = entry->cache.lookup(key_for(job))) {
+            ExplainResponse r;
+            r.id = job.request.id;
+            r.ok = true;
+            r.cache_hit = true;
+            r.explanation = std::move(*cached);
+            metrics_.cache_hits.inc();
+            metrics_.requests_accepted.inc();
+            entry->admitted.inc();
+            record_completion(job, r, Clock::now());
+            if (answered)
+                *answered = std::move(r);
+            else
+                on_complete(std::move(r));
+            return ServeError::none;
+        }
         job.on_complete = std::move(on_complete);
         reject = queue_.try_push(std::move(job));
     }
@@ -341,6 +349,9 @@ ServeError ExplanationService::submit_async(
         metrics_.requests_rejected.inc();
         metrics_.count_error(reject);
         if (entry && reject == ServeError::quota_exceeded) entry->rejected_quota.inc();
+        // prepare_job admitted (possibly as a half-open probe) but the
+        // request was refused after it: release the probe so the next
+        // request can retry it.
         if (entry) entry->breaker_abandon(config_.breaker);
         return reject;
     }
@@ -730,27 +741,27 @@ void ExplanationService::execute_batch(std::vector<Job> batch) {
     }
     const auto done = Clock::now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        metrics_.service_time_us.record(elapsed_us(batch[i].enqueued_at, done));
-        metrics_.requests_completed.inc();
-        batch[i].model_entry->completed.inc();
-        batch[i].model_entry->breaker_record(config_.breaker, responses[i].ok);
-        if (responses[i].ok)
-            batch[i].model_snapshot->base_value.store(
-                responses[i].explanation.base_value, std::memory_order_relaxed);
-        if (responses[i].ok) {
-            if (responses[i].degraded) metrics_.requests_degraded.inc();
-        } else {
-            metrics_.count_error(responses[i].error_code);
+        record_completion(batch[i], responses[i], done);
+        try {
+            batch[i].on_complete(std::move(responses[i]));
+        } catch (...) {
+            // A completion channel must never take the dispatcher down.
         }
-        if (batch[i].on_complete) {
-            try {
-                batch[i].on_complete(std::move(responses[i]));
-            } catch (...) {
-                // A completion channel must never take the dispatcher down.
-            }
-        } else {
-            batch[i].promise.set_value(std::move(responses[i]));
-        }
+    }
+}
+
+void ExplanationService::record_completion(const Job& job, const ExplainResponse& r,
+                                           Clock::time_point done) {
+    metrics_.service_time_us.record(elapsed_us(job.enqueued_at, done));
+    metrics_.requests_completed.inc();
+    job.model_entry->completed.inc();
+    job.model_entry->breaker_record(config_.breaker, r.ok);
+    if (r.ok) {
+        job.model_snapshot->base_value.store(r.explanation.base_value,
+                                             std::memory_order_relaxed);
+        if (r.degraded) metrics_.requests_degraded.inc();
+    } else {
+        metrics_.count_error(r.error_code);
     }
 }
 

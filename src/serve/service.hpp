@@ -1,10 +1,12 @@
-// Online explanation service: queue -> micro-batcher -> thread pool -> cache.
+// Online explanation service: cache -> queue -> micro-batcher -> thread pool.
 //
 // Long-running, in-process front door for explanation traffic.  Producers
-// submit() ExplainRequests; a dispatcher thread coalesces them into
-// micro-batches (serve/batcher.hpp) and executes each batch as one
-// parallel_for over the PR-1 shared pool, consulting the sharded LRU
-// explanation cache first.  Every stage is instrumented (serve/metrics.hpp).
+// submit() ExplainRequests.  A request whose answer is already cached is
+// answered at admission, on the submitting thread; every other request is
+// queued, and a dispatcher thread coalesces them into micro-batches
+// (serve/batcher.hpp) and executes each batch as one parallel_for over the
+// shared pool (core/parallel.hpp), probing the sharded LRU explanation cache
+// again first.  Every stage is instrumented (serve/metrics.hpp).
 //
 // Determinism contract (the serving extension of DESIGN.md section 8):
 //
@@ -38,6 +40,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -224,24 +227,33 @@ public:
         std::future<ExplainResponse> response;
     };
 
-    /// Validates and enqueues; never blocks.  Rejects with `queue_full`
-    /// under backpressure, `bad_request` on wrong feature count or unknown
-    /// method, `bad_features` on NaN/Inf inputs, `deadline_exceeded` on an
-    /// already-expired (0 ms) deadline, `service_stopped` after stop().
+    /// submit_async() with a promise as the completion channel; never
+    /// blocks.  A cache hit comes back with its future already satisfied.
     [[nodiscard]] Submission submit(ExplainRequest request);
 
     /// submit() + wait.  A rejection is returned as an error response.
     [[nodiscard]] ExplainResponse explain_sync(ExplainRequest request);
 
-    /// Push-style submission for event-driven callers (the TCP front-end):
-    /// on acceptance, `on_complete` is invoked exactly once with the
-    /// response — on the dispatcher (or drain) thread, in admission order —
-    /// and no future is involved.  On rejection the returned error is
-    /// non-none and `on_complete` is never called (the caller already has
-    /// everything needed to answer synchronously).  `on_complete` must not
-    /// throw and must not call back into this service.
+    /// Validates and admits one request; never blocks.  Rejects with
+    /// `queue_full` under backpressure, `bad_request` on wrong feature count
+    /// or unknown method, `bad_features` on NaN/Inf inputs,
+    /// `deadline_exceeded` on an already-expired (0 ms) deadline,
+    /// `service_stopped` after stop() — even when the answer is cached.  On
+    /// rejection the returned error is non-none and no answer is delivered.
+    ///
+    /// An accepted request whose cache key is already cached is answered at
+    /// admission, before this call returns: into `*answered` when the caller
+    /// passed it (and `on_complete` is then never called), otherwise by
+    /// invoking `on_complete` on the calling thread.  Every other accepted
+    /// request is queued and `on_complete` is invoked exactly once with its
+    /// response — on the dispatcher (or drain) thread, in admission order.
+    /// Callers that must keep `on_complete` on one thread (the TCP
+    /// front-end's single-producer completion ring) pass `answered`.
+    /// `on_complete` must not throw and must not call back into this
+    /// service.
     [[nodiscard]] ServeError submit_async(
-        ExplainRequest request, std::function<void(ExplainResponse)> on_complete);
+        ExplainRequest request, std::function<void(ExplainResponse)> on_complete,
+        std::optional<ExplainResponse>* answered = nullptr);
 
     /// Current cache epoch of the *default* model (bumped by drift-triggered
     /// invalidation; per-model epochs live in the registry entries).
@@ -301,9 +313,9 @@ private:
     /// Drains whatever is left in the queue/batcher on the calling thread —
     /// the shutdown path after both worker threads have been joined.
     void drain_inline();
-    /// Shared validation/resolution for submit()/submit_async(): resolves
-    /// the model name, validates the payload, and stamps `job` (entry,
-    /// pinned snapshot, class, timestamps).  Non-none = reject.
+    /// Validation/resolution half of submit_async(): resolves the model
+    /// name, validates the payload, and stamps `job` (entry, pinned
+    /// snapshot, class, timestamps).  Non-none = reject.
     [[nodiscard]] ServeError prepare_job(ExplainRequest request, Job& job);
     /// What one computed explanation cost and which path served it, for the
     /// per-explainer stats slices.
@@ -327,6 +339,11 @@ private:
         std::chrono::steady_clock::time_point deadline,
         ComputeOutcome& outcome) const;
     [[nodiscard]] CacheKey key_for(const Job& job) const;
+    /// Completion accounting shared by admission-time hits and batch
+    /// results: service time, completed counters, breaker outcome, base
+    /// value, and the degraded/error tallies.
+    void record_completion(const Job& job, const ExplainResponse& r,
+                           std::chrono::steady_clock::time_point done);
     /// The full Friedman-H² pair table of one model version (every j < k
     /// pair over the service background at config_.interaction_points,
     /// sorted strongest-first, ties by index).  H² is a pure function of

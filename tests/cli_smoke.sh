@@ -5,6 +5,11 @@ set -e
 CLI="$1"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
+# The background servers' logs exist before they start, so the port polls
+# below never read a file the backgrounded shell has not created yet.
+: > "$DIR/tcp.out"
+: > "$DIR/tcp2.out"
+: > "$DIR/tcp3.out"
 
 "$CLI" generate --samples 400 --out "$DIR/data.csv" --seed 3
 test -s "$DIR/data.csv"

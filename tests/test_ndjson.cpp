@@ -4,9 +4,15 @@
 // arbitrary byte chunks.  LineDecoder must therefore reassemble frames from
 // any split — including mid-UTF-8-sequence — and turn every malformed line
 // into a structured bad_request frame, never an exception and never a dead
-// connection.
+// connection.  json_number, which renders every number on that wire, is
+// pinned byte for byte to printf's "%.17g".
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -305,6 +311,73 @@ TEST(LineDecoderFuzz, RandomSplitsOfConcatenatedKnownStreamsNeverDesync) {
             EXPECT_EQ(got[i].text, reference[i].text)
                 << "seed " << seed << " frame " << i;
     }
+}
+
+// ------------------------------------------------------- json_number ---
+
+/// The reference json_number must match byte for byte: printf "%.17g".
+std::string printf_17g(double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(JsonNumber, MatchesPrintf17gOnEdgeValues) {
+    const double edges[] = {0.0,
+                            -0.0,
+                            1.0,
+                            -1.0,
+                            0.1,
+                            1.0 / 3.0,
+                            1e16,
+                            -1e16,
+                            9007199254740993.0,  // 2^53 + 1, rounds to even
+                            123456789012345678.0,
+                            1e21,
+                            1e-5,
+                            1e-4,
+                            0.063333333333333339,
+                            DBL_MAX,
+                            -DBL_MAX,
+                            DBL_MIN,
+                            DBL_TRUE_MIN,
+                            -DBL_TRUE_MIN,
+                            std::nextafter(DBL_MIN, 0.0),  // largest subnormal
+                            DBL_EPSILON};
+    for (const double v : edges) EXPECT_EQ(serve::json_number(v), printf_17g(v)) << v;
+}
+
+TEST(JsonNumber, NonFiniteRendersAsNull) {
+    EXPECT_EQ(serve::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+    EXPECT_EQ(serve::json_number(-std::numeric_limits<double>::quiet_NaN()), "null");
+    EXPECT_EQ(serve::json_number(std::numeric_limits<double>::infinity()), "null");
+    EXPECT_EQ(serve::json_number(-std::numeric_limits<double>::infinity()), "null");
+    // And inside a writer, where the response renderer uses it.
+    serve::JsonWriter w;
+    w.field("x", std::numeric_limits<double>::infinity());
+    w.field_array("xs", {1.5, std::numeric_limits<double>::quiet_NaN()});
+    EXPECT_EQ(w.finish(), R"({"x":null,"xs":[1.5,null]})");
+}
+
+TEST(JsonNumber, MatchesPrintf17gOnSeededRandomBitPatterns) {
+    // Every exponent range, both signs, subnormals included: raw 64-bit
+    // patterns, skipping only non-finite ones (those render as null above).
+    std::mt19937_64 rng(0x5eed17);
+    std::size_t compared = 0;
+    for (int i = 0; i < 200000; ++i) {
+        const double v = std::bit_cast<double>(rng());
+        if (!std::isfinite(v)) continue;
+        ASSERT_EQ(serve::json_number(v), printf_17g(v)) << std::hexfloat << v;
+        ++compared;
+    }
+    // Attribution-like magnitudes: small doubles with short decimal forms.
+    std::uniform_real_distribution<double> small(-10.0, 10.0);
+    for (int i = 0; i < 50000; ++i) {
+        const double v = small(rng);
+        ASSERT_EQ(serve::json_number(v), printf_17g(v)) << std::hexfloat << v;
+        ++compared;
+    }
+    EXPECT_GT(compared, 240000u);
 }
 
 }  // namespace

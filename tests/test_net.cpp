@@ -7,7 +7,8 @@
 // against serve::render_response of a response built from a fresh one-shot
 // explainer, at 1 and at 8 worker threads.
 //
-// The rest covers the failure policy: pipelined ordering, per-connection id
+// The rest covers the failure policy: pipelined ordering (including cache
+// hits answered at admission behind misses still computing), per-connection id
 // assignment, connection-limit rejection, slow-reader backpressure close,
 // idle timeout, and graceful drain with requests still in the micro-batcher.
 #include <gtest/gtest.h>
@@ -420,6 +421,42 @@ TEST(NetServer, TwoConnectionsHaveIndependentPipelines) {
         EXPECT_EQ(serve::parse_json(must_recv(b)).get_number("id", 0),
                   static_cast<double>(want));
     }
+}
+
+TEST(NetServer, PipelinedHitsAndMissesAnswerInRequestOrder) {
+    Harness h;
+    auto client = h.connect();
+    const std::string method = "sampling";  // a miss costs real compute
+    // Prime two rows so they are cache hits at admission later.
+    for (const std::size_t row : {3u, 5u}) {
+        ASSERT_TRUE(client.send_line(explain_request(row, row, method)));
+        EXPECT_EQ(must_recv(client), expected_line(row, row, method, false));
+    }
+    const auto batches_before = h.server->stats().batches;
+
+    // One write: miss, hit, miss, hit.  The hits are answered at admission,
+    // usually before the miss ahead of each has been computed, yet the wire
+    // must still carry every reply in request order.
+    struct Step {
+        std::uint64_t id;
+        std::size_t row;
+        bool hit;
+    };
+    const std::vector<Step> steps{{20, 60, false}, {21, 3, true}, {22, 61, false},
+                                  {23, 5, true}};
+    std::string wire;
+    for (const auto& step : steps)
+        wire += explain_request(step.id, step.row, method) + "\n";
+    ASSERT_TRUE(client.send_line(wire.substr(0, wire.size() - 1)));
+    for (const auto& step : steps)
+        EXPECT_EQ(must_recv(client), expected_line(step.id, step.row, method, step.hit))
+            << "id " << step.id;
+
+    const auto stats = h.server->stats();
+    EXPECT_EQ(stats.cache_hits, 2u);
+    EXPECT_EQ(stats.cache_misses, 4u);
+    // Only the two misses can have formed batches.
+    EXPECT_LE(stats.batches - batches_before, 2u);
 }
 
 }  // namespace

@@ -317,6 +317,10 @@ TEST(RegistryService, HotSwapUnderLiveLoadLosesNothingAndStaysBitwiseExact) {
         } else {
             FAIL() << "request " << i << " matched neither model version";
         }
+        // Cache hits are answered at admission in microseconds, so an
+        // unpaced stream can end before the swapper thread is first
+        // scheduled; pacing it like the swapper makes it span ~400 swaps.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     stop.store(true);
     swapper.join();

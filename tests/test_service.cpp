@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -441,6 +442,31 @@ TEST(ExplanationService, StopDrainsQueuedWorkThenRejects) {
               serve::ServeError::service_stopped);
 }
 
+TEST(ExplanationService, StopRejectsEvenCachedKeys) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    ASSERT_TRUE(service.explain_sync(request_for(1, {1.0, 2.0, 3.0})).ok);
+    ASSERT_TRUE(service.explain_sync(request_for(2, {1.0, 2.0, 3.0})).cache_hit);
+    service.stop();
+
+    // The key is cached, but a stopped service answers nothing: the cache
+    // probe at admission must not outlive stop().
+    EXPECT_EQ(service.submit(request_for(3, {1.0, 2.0, 3.0})).rejected,
+              serve::ServeError::service_stopped);
+    std::optional<serve::ExplainResponse> answered;
+    int calls = 0;
+    EXPECT_EQ(service.submit_async(request_for(4, {1.0, 2.0, 3.0}),
+                                   [&](serve::ExplainResponse) { ++calls; }, &answered),
+              serve::ServeError::service_stopped);
+    EXPECT_FALSE(answered.has_value());
+    EXPECT_EQ(calls, 0);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.requests_rejected, 2u);
+    EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_EQ(stats.requests_completed, 2u);
+}
+
 TEST(ExplanationService, DuplicateRequestsWithinOneBatchComputeOnce) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
@@ -516,6 +542,146 @@ TEST(ExplanationService, SubmitAsyncRejectsWithoutInvokingCallback) {
               serve::ServeError::deadline_exceeded);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_EQ(calls.load(), 0);
+}
+
+// ----------------------------------------------- hits at admission ---
+
+TEST(ExplanationService, HitIsAnsweredAtAdmissionWhileAMissComputes) {
+    // The model blocks while `hold` is set, so a kernel_shap miss can be
+    // parked inside the dispatcher for as long as the test needs.
+    auto gate = std::make_shared<Gate>();
+    auto hold = std::make_shared<std::atomic<bool>>(false);
+    auto entered = std::make_shared<std::atomic<bool>>(false);
+    auto model = std::make_shared<ml::LambdaModel>(3, [=](std::span<const double> x) {
+        if (hold->load()) {
+            entered->store(true);
+            gate->wait();
+        }
+        return 0.25 * x[0] + 0.5 * x[1] - x[2];
+    });
+    serve::ServiceConfig cfg;
+    cfg.method = "kernel_shap";
+    cfg.threads = 1;  // compute runs on the dispatcher thread
+    serve::ExplanationService service(model, tiny_background(), cfg);
+    const auto primed = service.explain_sync(request_for(1, {1.0, 2.0, 3.0}));
+    ASSERT_TRUE(primed.ok);
+
+    hold->store(true);
+    std::atomic<bool> miss_done{false};
+    ASSERT_EQ(service.submit_async(request_for(2, {7.0, 8.0, 9.0}),
+                                   [&](serve::ExplainResponse r) {
+                                       EXPECT_TRUE(r.ok);
+                                       miss_done.store(true);
+                                   }),
+              serve::ServeError::none);
+    while (!entered->load()) std::this_thread::yield();
+
+    // The dispatcher is stuck inside the miss; the hits below never reach
+    // it.  Everything is observed first and checked only after the gate is
+    // released, so a regression fails instead of hanging.
+    const auto caller = std::this_thread::get_id();
+    std::mutex m;
+    std::optional<serve::ExplainResponse> delivered;
+    std::thread::id delivered_on;
+    const auto hit_callback = [&](serve::ExplainResponse r) {
+        const std::lock_guard lock(m);
+        delivered_on = std::this_thread::get_id();
+        delivered = std::move(r);
+    };
+    EXPECT_EQ(service.submit_async(request_for(3, {1.0, 2.0, 3.0}), hit_callback),
+              serve::ServeError::none);
+    bool delivered_before_return = false;
+    {
+        const std::lock_guard lock(m);
+        delivered_before_return = delivered.has_value();
+    }
+
+    // With an answer slot, the hit comes back there and the callback is
+    // never invoked.
+    std::optional<serve::ExplainResponse> answered;
+    std::atomic<bool> called{false};
+    EXPECT_EQ(service.submit_async(request_for(4, {1.0, 2.0, 3.0}),
+                                   [&](serve::ExplainResponse) { called = true; },
+                                   &answered),
+              serve::ServeError::none);
+    const bool answered_before_return = answered.has_value();
+
+    // submit() wraps the same path: its future is already satisfied.
+    auto sub = service.submit(request_for(5, {1.0, 2.0, 3.0}));
+    EXPECT_EQ(sub.rejected, serve::ServeError::none);
+    const bool future_ready =
+        sub.response.valid() &&
+        sub.response.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    const bool miss_pending = !miss_done.load();
+
+    gate->release();
+    service.stop();
+    EXPECT_TRUE(miss_pending);
+    EXPECT_TRUE(miss_done.load());
+    EXPECT_TRUE(delivered_before_return);
+    EXPECT_TRUE(answered_before_return);
+    EXPECT_TRUE(future_ready);
+    ASSERT_TRUE(delivered.has_value());
+    EXPECT_EQ(delivered_on, caller);
+    EXPECT_EQ(delivered->id, 3u);
+    EXPECT_TRUE(delivered->cache_hit);
+    EXPECT_EQ(delivered->explanation.attributions, primed.explanation.attributions);
+    ASSERT_TRUE(answered.has_value());
+    EXPECT_EQ(answered->id, 4u);
+    EXPECT_TRUE(answered->cache_hit);
+    EXPECT_FALSE(called.load());
+    ASSERT_TRUE(sub.response.valid());
+    EXPECT_TRUE(sub.response.get().cache_hit);
+}
+
+TEST(ExplanationService, AdmissionHitsSkipBatchesAndCountOncePerModel) {
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.extra_models.push_back({"canary", sum_model()});
+    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    const auto named = [](std::uint64_t id, std::vector<double> x, std::string model) {
+        auto r = request_for(id, std::move(x));
+        r.model = std::move(model);
+        return r;
+    };
+
+    // One miss per model: two compute batches.
+    ASSERT_FALSE(service.explain_sync(named(1, {1.0, 2.0, 3.0}, "")).cache_hit);
+    ASSERT_FALSE(service.explain_sync(named(2, {1.0, 2.0, 3.0}, "canary")).cache_hit);
+    auto stats = service.stats();
+    ASSERT_EQ(stats.batches, 2u);
+    ASSERT_EQ(stats.cache_misses, 2u);
+
+    // Three hits on the default model, two on the canary: no new batch, one
+    // hit each, nothing counted as a miss by the admission probe.
+    std::uint64_t id = 10;
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(service.explain_sync(named(id++, {1.0, 2.0, 3.0}, "")).cache_hit);
+    for (int i = 0; i < 2; ++i) {
+        const auto r = service.explain_sync(named(id++, {1.0, 2.0, 3.0}, "canary"));
+        EXPECT_TRUE(r.cache_hit);
+    }
+    stats = service.stats();
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.cache_hits, 5u);
+    EXPECT_EQ(stats.cache_misses, 2u);
+
+    // A fresh key misses at admission and again in its batch, yet counts
+    // exactly once.
+    ASSERT_FALSE(service.explain_sync(named(id++, {4.0, 5.0, 6.0}, "")).cache_hit);
+    stats = service.stats();
+    EXPECT_EQ(stats.batches, 3u);
+    EXPECT_EQ(stats.cache_misses, 3u);
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, 8u);
+    EXPECT_EQ(stats.requests_accepted, 8u);
+    EXPECT_EQ(stats.requests_completed, 8u);
+
+    ASSERT_EQ(stats.models.size(), 2u);
+    for (const auto& m : stats.models) {
+        const std::uint64_t want = m.name == "canary" ? 3u : 5u;
+        EXPECT_EQ(m.admitted, want) << m.name;
+        EXPECT_EQ(m.completed, want) << m.name;
+    }
 }
 
 // ----------------------------------- drift-triggered cache invalidation ---
