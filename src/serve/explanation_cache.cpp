@@ -60,11 +60,22 @@ ExplanationCache::ExplanationCache(std::size_t capacity, std::size_t shards) {
 std::optional<xnfv::xai::Explanation> ExplanationCache::lookup(const CacheKey& key) {
     Shard& shard = shard_for(key);
     std::lock_guard lock(shard.mutex);
+    auto found = hit_locked(shard, key);
+    if (!found) misses_.inc();
+    return found;
+}
+
+std::optional<xnfv::xai::Explanation> ExplanationCache::try_lookup(const CacheKey& key) {
+    Shard& shard = shard_for(key);
+    std::unique_lock lock(shard.mutex, std::try_to_lock);
+    if (!lock.owns_lock()) return std::nullopt;
+    return hit_locked(shard, key);
+}
+
+std::optional<xnfv::xai::Explanation> ExplanationCache::hit_locked(Shard& shard,
+                                                                  const CacheKey& key) {
     const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        misses_.inc();
-        return std::nullopt;
-    }
+    if (it == shard.index.end()) return std::nullopt;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     hits_.inc();
     return it->second->explanation;

@@ -82,6 +82,11 @@ public:
     /// position, or nullopt on miss.  Counts a hit or a miss.
     [[nodiscard]] std::optional<xnfv::xai::Explanation> lookup(const CacheKey& key);
 
+    /// lookup() that never waits: when another thread holds the key's shard
+    /// it returns nullopt at once.  Counts a hit, never a miss; a caller that
+    /// gets nullopt does a counted lookup() later (the service's batch path).
+    [[nodiscard]] std::optional<xnfv::xai::Explanation> try_lookup(const CacheKey& key);
+
     /// Inserts (or refreshes) an entry, evicting the shard's LRU tail when
     /// the shard is at capacity.
     void insert(const CacheKey& key, xnfv::xai::Explanation explanation);
@@ -113,6 +118,11 @@ private:
         std::list<Entry> lru;  ///< front = most recent
         std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index;
     };
+
+    /// With `shard.mutex` held: the entry's copy, refreshed and counted as
+    /// a hit, or nullopt (uncounted) when absent.
+    [[nodiscard]] std::optional<xnfv::xai::Explanation> hit_locked(Shard& shard,
+                                                                 const CacheKey& key);
 
     [[nodiscard]] Shard& shard_for(const CacheKey& key) noexcept {
         // High bits pick the shard; low bits drive the in-shard hash map.

@@ -318,15 +318,18 @@ ServeError ExplanationService::submit_async(
     ServeError reject = prepare_job(std::move(request), job);
     const std::shared_ptr<ModelEntry> entry = job.model_entry;
     // Checked here, not only by the queue: a cached answer must not outlive
-    // stop() either.
-    if (reject == ServeError::none && queue_.closed())
+    // stop() either.  An atomic load, so a miss takes no extra lock.
+    if (reject == ServeError::none && stopping_.load(std::memory_order_acquire))
         reject = ServeError::service_stopped;
     if (reject == ServeError::none) {
         // A hit needs no compute, so it skips the queue, the batch wait and
         // the dispatcher hop; it is counted as execute_batch counts a hit
         // (and, like there, never observed for drift).  A miss is queued;
-        // execute_batch probes again for keys inserted while it waited.
-        if (auto cached = entry->cache.lookup(key_for(job))) {
+        // execute_batch probes again for keys inserted while it waited, and
+        // counts the miss.  The probe never waits for a shard a batch worker
+        // holds: the caller may be an event loop, and a busy shard only
+        // sends the request down the batch path, which answers the same.
+        if (auto cached = entry->cache.try_lookup(key_for(job))) {
             ExplainResponse r;
             r.id = job.request.id;
             r.ok = true;

@@ -244,9 +244,12 @@ public:
     /// An accepted request whose cache key is already cached is answered at
     /// admission, before this call returns: into `*answered` when the caller
     /// passed it (and `on_complete` is then never called), otherwise by
-    /// invoking `on_complete` on the calling thread.  Every other accepted
-    /// request is queued and `on_complete` is invoked exactly once with its
-    /// response — on the dispatcher (or drain) thread, in admission order.
+    /// invoking `on_complete` on the calling thread.  The admission probe
+    /// never waits for a cache shard a batch worker holds; such a hit is
+    /// queued like a miss and answered (identically) from the batch.  Every
+    /// other accepted request is queued and `on_complete` is invoked exactly
+    /// once with its response — on the dispatcher (or drain) thread, in
+    /// admission order.
     /// Callers that must keep `on_complete` on one thread (the TCP
     /// front-end's single-producer completion ring) pass `answered`.
     /// `on_complete` must not throw and must not call back into this

@@ -169,6 +169,28 @@ TEST(ExplanationCache, HitReturnsInsertedExplanation) {
     EXPECT_EQ(found->attributions, (std::vector<double>{0.75, -0.75}));
 }
 
+TEST(ExplanationCache, TryLookupCountsHitsButNeverMisses) {
+    serve::ExplanationCache cache(2, 1);  // one shard so eviction order is global
+    const serve::CacheKey a = make_key({1.0}, 0.0, 7);
+    const serve::CacheKey b = make_key({2.0}, 0.0, 7);
+    const serve::CacheKey c = make_key({3.0}, 0.0, 7);
+
+    EXPECT_FALSE(cache.try_lookup(a).has_value());  // absent: not counted
+    cache.insert(a, make_explanation(1.0));
+    cache.insert(b, make_explanation(2.0));
+    const auto found = cache.try_lookup(a);  // refreshes a -> b is now LRU
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->prediction, 1.0);
+    cache.insert(c, make_explanation(3.0));  // evicts b
+
+    EXPECT_FALSE(cache.try_lookup(b).has_value());
+    EXPECT_TRUE(cache.try_lookup(c).has_value());
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.evictions, 1u);
+}
+
 TEST(CacheKey, ExactModeDistinguishesBitPatterns) {
     const serve::CacheKey a = make_key({1.0, 2.0}, 0.0, 1);
     const serve::CacheKey same = make_key({1.0, 2.0}, 0.0, 1);
