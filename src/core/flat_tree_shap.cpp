@@ -384,6 +384,7 @@ const FlatTreeShap& FlatTreeShapExplainer::ensure(const xnfv::ml::Model& model) 
 
 Explanation FlatTreeShapExplainer::explain(const xnfv::ml::Model& model,
                                            std::span<const double> x) {
+    const xnfv::ThreadBudget budget(threads_);
     if (x.size() != model.num_features())
         throw std::invalid_argument("TreeShap: input size mismatch");
     return ensure(model).explain(x, scratch_);
@@ -391,6 +392,7 @@ Explanation FlatTreeShapExplainer::explain(const xnfv::ml::Model& model,
 
 std::vector<Explanation> FlatTreeShapExplainer::explain_batch(
     const xnfv::ml::Model& model, const xnfv::ml::Matrix& instances) {
+    const xnfv::ThreadBudget budget(threads_);
     return ensure(model).explain_batch(instances, threads_);
 }
 

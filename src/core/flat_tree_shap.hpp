@@ -156,6 +156,8 @@ private:
 class FlatTreeShapExplainer final : public Explainer {
 public:
     FlatTreeShapExplainer() = default;
+    /// `threads` bounds each call (explain_batch rows included) through an
+    /// xnfv::ThreadBudget; 0 uses xnfv::default_threads().
     explicit FlatTreeShapExplainer(std::size_t threads) : threads_(threads) {}
 
     [[nodiscard]] Explanation explain(const xnfv::ml::Model& model,

@@ -10,6 +10,7 @@
 namespace xnfv::xai {
 
 Explanation KernelShap::explain(const xnfv::ml::Model& model, std::span<const double> x) {
+    const xnfv::ThreadBudget budget(config_.threads);
     const double base =
         background_.empty() ? 0.0 : base_cache_.get(model, background_);
     return explain_seeded(model, x, rng_.next_u64(), base);
@@ -17,6 +18,7 @@ Explanation KernelShap::explain(const xnfv::ml::Model& model, std::span<const do
 
 std::vector<Explanation> KernelShap::explain_batch(const xnfv::ml::Model& model,
                                                    const xnfv::ml::Matrix& instances) {
+    const xnfv::ThreadBudget budget(config_.threads);
     // Per-row seeds are drawn sequentially so row r sees the same stream the
     // r-th call of a sequential explain() loop would; the rows themselves
     // then run in parallel (nested loops inside explain_seeded fall back to

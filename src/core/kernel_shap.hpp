@@ -35,8 +35,10 @@ public:
         /// are collinear; 0 disables.
         double l2 = 1e-8;
         /// Worker threads for coalition sampling/evaluation and batch rows;
-        /// 0 uses xnfv::default_threads().  Attributions are identical for
-        /// any thread count (per-coalition RNG streams).
+        /// 0 uses xnfv::default_threads().  The budget covers the model's
+        /// predict_batch calls too (xnfv::ThreadBudget), so 1 keeps the whole
+        /// call on the calling thread.  Attributions are identical for any
+        /// thread count (per-coalition RNG streams).
         std::size_t threads = 0;
         /// Optional cooperative stop signal, polled once per evaluation
         /// block (~kProbeBlockRows probe rows); a fired token aborts

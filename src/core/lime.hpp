@@ -29,7 +29,9 @@ public:
         /// around the instance (sigma_j from the background).
         double perturbation_scale = 1.0;
         /// Worker threads for neighborhood generation/evaluation and batch
-        /// rows; 0 uses xnfv::default_threads().  Attributions are identical
+        /// rows; 0 uses xnfv::default_threads().  The budget covers the
+        /// model's predict_batch calls too (xnfv::ThreadBudget), so 1 keeps
+        /// the whole call on the calling thread.  Attributions are identical
         /// for any thread count (per-sample RNG streams).
         std::size_t threads = 0;
         /// Optional cooperative stop signal, polled once per neighborhood

@@ -9,6 +9,7 @@
 namespace xnfv::xai {
 
 Explanation Occlusion::explain(const xnfv::ml::Model& model, std::span<const double> x) {
+    const xnfv::ThreadBudget budget(config_.threads);
     const double base =
         background_.empty() ? 0.0 : base_cache_.get(model, background_);
     return explain_one(model, x, base);
@@ -16,6 +17,7 @@ Explanation Occlusion::explain(const xnfv::ml::Model& model, std::span<const dou
 
 std::vector<Explanation> Occlusion::explain_batch(const xnfv::ml::Model& model,
                                                   const xnfv::ml::Matrix& instances) {
+    const xnfv::ThreadBudget budget(config_.threads);
     // The base value depends only on (model, background): resolve it once
     // here instead of once per row.
     const double base =

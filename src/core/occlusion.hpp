@@ -23,7 +23,9 @@ class Occlusion final : public Explainer {
 public:
     struct Config {
         /// Worker threads for the per-feature sweep and batch rows; 0 uses
-        /// xnfv::default_threads().  Occlusion draws no randomness, so any
+        /// xnfv::default_threads().  The budget covers the model's
+        /// predict_batch calls too (xnfv::ThreadBudget), so 1 keeps the whole
+        /// call on the calling thread.  Occlusion draws no randomness, so any
         /// thread count yields identical attributions.
         std::size_t threads = 0;
         /// Optional cooperative stop signal, polled once per occluded

@@ -9,6 +9,9 @@ namespace {
 /// Set for the lifetime of every pool worker thread (see inside_worker()).
 thread_local bool t_inside_worker = false;
 
+/// Innermost ThreadBudget of this thread; 0 = none in force.
+thread_local std::size_t t_budget = 0;
+
 std::atomic<std::size_t> g_default_threads{0};  // 0 = hardware_concurrency
 
 }  // namespace
@@ -69,8 +72,15 @@ void set_default_threads(std::size_t n) noexcept {
 }
 
 std::size_t resolve_threads(std::size_t requested) noexcept {
-    return requested == 0 ? default_threads() : requested;
+    if (requested != 0) return requested;
+    return t_budget != 0 ? t_budget : default_threads();
 }
+
+ThreadBudget::ThreadBudget(std::size_t threads) noexcept : outer_(t_budget) {
+    if (threads != 0) t_budget = threads;
+}
+
+ThreadBudget::~ThreadBudget() { t_budget = outer_; }
 
 ThreadPool& detail::shared_pool() {
     static ThreadPool pool(default_threads());

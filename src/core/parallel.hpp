@@ -20,6 +20,13 @@
 // A nested parallel_for issued from inside a pool worker runs inline on the
 // calling thread (same results, no deadlock), so batch-over-rows loops can
 // wrap explainers that are themselves parallel.
+//
+// A thread count of 0 means "the default".  Outside any scope that is
+// default_threads(); inside a ThreadBudget it is the budget, so a component
+// that only asks for the default (Model::predict_batch above its row cutoff)
+// stays within the thread count its caller was configured with.  Every
+// explainer entry point that carries a `threads` setting opens one, so an
+// explainer with threads = 1 evaluates its model on the calling thread only.
 #pragma once
 
 #include <algorithm>
@@ -77,8 +84,28 @@ private:
 /// shared pool should be sized to the override.
 void set_default_threads(std::size_t n) noexcept;
 
-/// Maps the conventional "0 means default" request to a concrete count.
+/// Maps the conventional "0 means default" request to a concrete count: a
+/// nonzero request is returned as is; 0 resolves to the calling thread's
+/// innermost ThreadBudget, or to default_threads() outside any budget.
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested) noexcept;
+
+/// Scoped, thread-local budget for "0 means default" requests.  While it is
+/// alive, resolve_threads(0) on the constructing thread returns `threads`
+/// instead of default_threads(); ThreadBudget(0) leaves the current budget as
+/// it is.  Scopes nest, and the destructor restores the outer budget.  Pool
+/// workers do not inherit it; they need not, since loops nested in a worker
+/// run inline anyway.
+class ThreadBudget {
+public:
+    explicit ThreadBudget(std::size_t threads) noexcept;
+    ~ThreadBudget();
+
+    ThreadBudget(const ThreadBudget&) = delete;
+    ThreadBudget& operator=(const ThreadBudget&) = delete;
+
+private:
+    std::size_t outer_;
+};
 
 namespace detail {
 /// Lazily-created pool shared by all parallel_for callers, sized to

@@ -16,6 +16,7 @@ PdpResult partial_dependence(const xnfv::ml::Model& model, const BackgroundData&
         throw std::invalid_argument("partial_dependence: feature out of range");
     if (options.grid_points < 2)
         throw std::invalid_argument("partial_dependence: need >= 2 grid points");
+    const xnfv::ThreadBudget budget(options.threads);
 
     const auto& bg = background.samples();
 

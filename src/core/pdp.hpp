@@ -28,8 +28,10 @@ struct PdpOptions {
     double lo_quantile = 0.02;
     double hi_quantile = 0.98;
     /// Worker threads for the grid sweep; 0 uses xnfv::default_threads().
-    /// The sweep is deterministic (no RNG), so any thread count yields the
-    /// same curve.
+    /// The budget covers the model's predict_batch calls too
+    /// (xnfv::ThreadBudget), so 1 keeps the whole sweep on the calling
+    /// thread.  The sweep is deterministic (no RNG), so any thread count
+    /// yields the same curve.
     std::size_t threads = 0;
 };
 

@@ -11,11 +11,13 @@ namespace xnfv::xai {
 
 Explanation SamplingShapley::explain(const xnfv::ml::Model& model,
                                      std::span<const double> x) {
+    const xnfv::ThreadBudget budget(config_.threads);
     return explain_seeded(model, x, rng_.next_u64());
 }
 
 std::vector<Explanation> SamplingShapley::explain_batch(
     const xnfv::ml::Model& model, const xnfv::ml::Matrix& instances) {
+    const xnfv::ThreadBudget budget(config_.threads);
     std::vector<std::uint64_t> seeds(instances.rows());
     for (auto& s : seeds) s = rng_.next_u64();
     std::vector<Explanation> out(instances.rows());

@@ -36,7 +36,9 @@ public:
         /// evaluation budget.
         bool antithetic = true;
         /// Worker threads for the permutation sweep and batch rows; 0 uses
-        /// xnfv::default_threads().  Attributions are identical for any
+        /// xnfv::default_threads().  The budget covers the model's
+        /// predict_batch calls too (xnfv::ThreadBudget), so 1 keeps the whole
+        /// call on the calling thread.  Attributions are identical for any
         /// thread count (per-permutation RNG streams, ordered merge).
         std::size_t threads = 0;
         /// Optional cooperative stop signal, polled once per permutation;

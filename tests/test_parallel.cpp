@@ -4,19 +4,28 @@
 // leans on: every index visited exactly once regardless of thread count,
 // worker exceptions propagate to the caller, pools are reusable across
 // submissions, nested loops don't deadlock, and ordered reduction is
-// bitwise-stable across thread counts.
+// bitwise-stable across thread counts.  An explainer's `threads` setting
+// bounds its model evaluations too (ThreadBudget), not only its own sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "core/kernel_shap.hpp"
+#include "core/lime.hpp"
+#include "core/occlusion.hpp"
 #include "core/parallel.hpp"
+#include "core/pdp.hpp"
+#include "mlcore/model.hpp"
 #include "mlcore/rng.hpp"
 
 namespace ml = xnfv::ml;
+namespace xai = xnfv::xai;
 
 TEST(ThreadPool, RunsSubmittedTasks) {
     xnfv::ThreadPool pool(4);
@@ -152,6 +161,92 @@ TEST(DefaultThreads, OverrideAndRestore) {
     EXPECT_EQ(xnfv::resolve_threads(5), 5u);
     xnfv::set_default_threads(0);
     EXPECT_EQ(xnfv::default_threads(), hw);
+}
+
+TEST(ThreadBudget, NestedScopesRestoreTheOuterBudget) {
+    const std::size_t def = xnfv::default_threads();
+    {
+        const xnfv::ThreadBudget outer(2);
+        EXPECT_EQ(xnfv::resolve_threads(0), 2u);
+        {
+            const xnfv::ThreadBudget inner(3);
+            EXPECT_EQ(xnfv::resolve_threads(0), 3u);
+        }
+        EXPECT_EQ(xnfv::resolve_threads(0), 2u);
+    }
+    EXPECT_EQ(xnfv::resolve_threads(0), def);
+}
+
+TEST(ThreadBudget, ExplicitRequestIsUnaffected) {
+    const xnfv::ThreadBudget budget(1);
+    EXPECT_EQ(xnfv::resolve_threads(5), 5u);
+    EXPECT_EQ(xnfv::resolve_threads(1), 1u);
+}
+
+TEST(ThreadBudget, ZeroBudgetChangesNothing) {
+    const std::size_t def = xnfv::default_threads();
+    {
+        const xnfv::ThreadBudget none(0);
+        EXPECT_EQ(xnfv::resolve_threads(0), def);
+    }
+    const xnfv::ThreadBudget outer(2);
+    {
+        const xnfv::ThreadBudget none(0);
+        EXPECT_EQ(xnfv::resolve_threads(0), 2u);
+    }
+    EXPECT_EQ(xnfv::resolve_threads(0), 2u);
+}
+
+TEST(ThreadBudget, SingleThreadExplainerEvaluatesModelOnCallingThread) {
+    // With a process default above 1, predict_batch fans any batch of 64 or
+    // more rows out over the shared pool unless a budget is in force, so
+    // this fails on any core count if `threads = 1` stops at the
+    // explainer's own loops.
+    struct RestoreDefault {
+        ~RestoreDefault() { xnfv::set_default_threads(0); }
+    } restore;
+    xnfv::set_default_threads(4);
+
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> off_caller{false};
+    const ml::LambdaModel model(3, [&](std::span<const double> x) {
+        if (std::this_thread::get_id() != caller) off_caller = true;
+        return x[0] + 2.0 * x[1] * x[2];
+    });
+    constexpr std::size_t kBgRows = 96;  // above predict_batch's 64-row cutoff
+    ml::Matrix bg_x(kBgRows, 3);
+    for (std::size_t r = 0; r < kBgRows; ++r)
+        for (std::size_t c = 0; c < 3; ++c)
+            bg_x(r, c) = static_cast<double>((r * 7 + c * 3) % 11) / 11.0;
+    const xai::BackgroundData bg(bg_x, kBgRows);
+    ml::Matrix instances(2, 3, 0.5);
+    instances(1, 0) = 0.25;
+
+    const auto expect_on_caller = [&](const char* what, auto&& run) {
+        off_caller = false;
+        run();
+        EXPECT_FALSE(off_caller.load()) << what << " evaluated the model off the calling thread";
+    };
+    {
+        xai::KernelShap ks(bg, ml::Rng(7),
+                           xai::KernelShap::Config{.max_coalitions = 32, .threads = 1});
+        expect_on_caller("KernelShap::explain", [&] { (void)ks.explain(model, instances.row(0)); });
+        expect_on_caller("KernelShap::explain_batch",
+                         [&] { (void)ks.explain_batch(model, instances); });
+    }
+    {
+        xai::Occlusion occ(bg, xai::Occlusion::Config{.threads = 1});
+        expect_on_caller("Occlusion::explain", [&] { (void)occ.explain(model, instances.row(0)); });
+        expect_on_caller("Occlusion::explain_batch",
+                         [&] { (void)occ.explain_batch(model, instances); });
+    }
+    {
+        xai::Lime lime(bg, ml::Rng(7), xai::Lime::Config{.num_samples = 128, .threads = 1});
+        expect_on_caller("Lime::explain", [&] { (void)lime.explain(model, instances.row(0)); });
+    }
+    expect_on_caller("partial_dependence", [&] {
+        (void)xai::partial_dependence(model, bg, 1, xai::PdpOptions{.grid_points = 4, .threads = 1});
+    });
 }
 
 TEST(RngStream, KeyedStreamsAreReproducibleAndIndependent) {
