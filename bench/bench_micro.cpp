@@ -88,10 +88,13 @@ BENCHMARK(BM_WeightedLeastSquares)->Arg(256)->Arg(1024)->Arg(4096);
 void BM_SimulateEpoch(benchmark::State& state) {
     auto infra = nfv::Infrastructure::homogeneous_pop(4, nfv::Server{});
     nfv::Deployment dep;
-    for (int c = 0; c < 4; ++c)
-        nfv::make_chain(dep, "c" + std::to_string(c),
+    for (int c = 0; c < 4; ++c) {
+        std::string name = "c";
+        name += std::to_string(c);
+        nfv::make_chain(dep, name,
                         {nfv::VnfType::firewall, nfv::VnfType::ids, nfv::VnfType::nat},
                         2.0);
+    }
     ml::Rng rng(1);
     nfv::place(dep, infra, nfv::PlacementStrategy::best_fit, rng);
     const std::vector<nfv::OfferedLoad> loads(

@@ -8,11 +8,29 @@
 
 namespace xnfv::xai {
 
+namespace {
+
+/// ln |Gamma(x)|, safe to call from many threads at once: std::lgamma also
+/// writes glibc's global `signgam`, a data race between pool threads, while
+/// the reentrant lgamma_r returns the sign through an argument instead.
+double log_gamma(double x) noexcept {
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double log_binomial(std::size_t n, std::size_t k) {
     if (k > n) return -std::numeric_limits<double>::infinity();
-    return std::lgamma(static_cast<double>(n) + 1.0) -
-           std::lgamma(static_cast<double>(k) + 1.0) -
-           std::lgamma(static_cast<double>(n - k) + 1.0);
+    return log_gamma(static_cast<double>(n) + 1.0) -
+           log_gamma(static_cast<double>(k) + 1.0) -
+           log_gamma(static_cast<double>(n - k) + 1.0);
+}
+
+double shapley_factorial_weight(std::size_t k, std::size_t m) {
+    return std::exp(log_gamma(static_cast<double>(k) + 1.0) +
+                    log_gamma(static_cast<double>(m - k)) -
+                    log_gamma(static_cast<double>(m) + 1.0));
 }
 
 double shapley_kernel_weight(std::size_t d, std::size_t s) {
@@ -54,11 +72,7 @@ Explanation ExactShapley::explain(const xnfv::ml::Model& model, std::span<const 
     // phi_i = sum over S not containing i of |S|!(d-|S|-1)!/d! * (v(S+i)-v(S)).
     // Precompute the factorial weights per coalition size.
     std::vector<double> weight(d);
-    for (std::size_t s = 0; s < d; ++s) {
-        weight[s] = std::exp(std::lgamma(static_cast<double>(s) + 1.0) +
-                             std::lgamma(static_cast<double>(d - s)) -
-                             std::lgamma(static_cast<double>(d) + 1.0));
-    }
+    for (std::size_t s = 0; s < d; ++s) weight[s] = shapley_factorial_weight(s, d);
 
     Explanation e;
     e.method = name();

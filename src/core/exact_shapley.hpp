@@ -46,4 +46,9 @@ private:
 /// ln C(n, k) via lgamma (stable for large n).
 [[nodiscard]] double log_binomial(std::size_t n, std::size_t k);
 
+/// Shapley factorial weight k!(m-k-1)!/m! for a coalition of size k < m out
+/// of m players: the per-size weight of exact Shapley enumeration and of
+/// both TreeSHAP walkers (one expression, so their values agree bitwise).
+[[nodiscard]] double shapley_factorial_weight(std::size_t k, std::size_t m);
+
 }  // namespace xnfv::xai

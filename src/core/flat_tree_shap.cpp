@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/exact_shapley.hpp"
 #include "core/parallel.hpp"
 #include "mlcore/forest.hpp"
 #include "mlcore/gbt.hpp"
@@ -18,15 +19,6 @@ using xnfv::ml::RandomForest;
 using xnfv::ml::TreeNode;
 
 namespace {
-
-/// Shapley factorial weight k!(m-k-1)!/m! — the exact expression of the
-/// recursive walker, so the table entries are bitwise identical to its
-/// on-the-fly values.
-double shapley_weight(std::size_t k, std::size_t m) {
-    return std::exp(std::lgamma(static_cast<double>(k) + 1.0) +
-                    std::lgamma(static_cast<double>(m - k)) -
-                    std::lgamma(static_cast<double>(m) + 1.0));
-}
 
 /// EXTEND: apply one path edge to the collapsed per-distinct-feature state,
 /// logging what UNWIND must undo.  Multiplications happen in descent (path)
@@ -159,7 +151,7 @@ void FlatTreeShap::build_weight_table() {
     weight_.clear();
     for (std::size_t m = 1; m <= max_depth_; ++m) {
         weight_off_[m] = weight_.size();
-        for (std::size_t k = 0; k < m; ++k) weight_.push_back(shapley_weight(k, m));
+        for (std::size_t k = 0; k < m; ++k) weight_.push_back(shapley_factorial_weight(k, m));
     }
 }
 

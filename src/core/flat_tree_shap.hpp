@@ -136,8 +136,8 @@ private:
     std::vector<std::int32_t> roots_;      ///< absolute root id per tree
 
     // Triangular Shapley-weight table: weight(k, m) = k!(m-k-1)!/m! for
-    // m in 1..max_depth_, k in 0..m-1, computed with the same lgamma
-    // expression as the recursive walker so the bits match.
+    // m in 1..max_depth_, k in 0..m-1, computed by the recursive walker's
+    // own shapley_factorial_weight (core/exact_shapley.hpp) so the bits match.
     std::vector<double> weight_;
     std::vector<std::size_t> weight_off_;  ///< row offset per m
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/exact_shapley.hpp"
+
 namespace xnfv::xai {
 
 using xnfv::ml::DecisionTree;
@@ -19,13 +21,6 @@ struct PathEdge {
     double indicator = 1.0;    ///< 1 if x satisfies this split, else 0
     double cover_ratio = 1.0;  ///< cover(child) / cover(parent)
 };
-
-/// Shapley factorial weight k!(m-k-1)!/m!.
-double shapley_weight(std::size_t k, std::size_t m) {
-    return std::exp(std::lgamma(static_cast<double>(k) + 1.0) +
-                    std::lgamma(static_cast<double>(m - k)) -
-                    std::lgamma(static_cast<double>(m) + 1.0));
-}
 
 struct LeafAccumulator {
     std::span<double> phi;
@@ -64,7 +59,7 @@ struct LeafAccumulator {
             }
             double contribution = 0.0;
             for (std::size_t k = 0; k < m; ++k)
-                contribution += shapley_weight(k, m) * poly[k];
+                contribution += shapley_factorial_weight(k, m) * poly[k];
             phi[static_cast<std::size_t>(features[i])] +=
                 leaf_value * (a[i] - b[i]) * contribution;
         }

@@ -331,7 +331,6 @@ serve::ServiceStats ShardedServer::stats() const {
         agg.drift_checks += s.drift_checks;
         agg.drift_flushes += s.drift_flushes;
         agg.cache_epoch = std::max(agg.cache_epoch, s.cache_epoch);
-        agg.adaptive_wait_us = std::max(agg.adaptive_wait_us, s.adaptive_wait_us);
         agg.connections_accepted += s.connections_accepted;
         agg.connections_active += s.connections_active;
         agg.connections_active_max += s.connections_active_max;

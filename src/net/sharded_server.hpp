@@ -7,13 +7,13 @@
 //     the same port; the kernel hashes incoming connections across them, so
 //     there is no shared accept lock and no connection handoff.
 //   * Share-nothing serving — each shard owns a full ExplanationService
-//     (admission queue, micro-batcher, dispatcher thread, LRU cache slice
-//     with its own drift epoch) and a full ExplanationServer (epoll loop,
-//     connections, SPSC completion ring).  A connection lives and dies on
-//     the shard that accepted it, which is what keeps per-connection
-//     response bytes identical to the single-loop server: ordering is
-//     per-connection, and every request is explained by a fresh explainer
-//     seeded from the request itself.
+//     (admission queue, dispatcher thread, LRU cache slice with its own
+//     drift epoch) and a full ExplanationServer (epoll loop, connections,
+//     SPSC completion ring).  A connection lives and dies on the shard that
+//     accepted it, which is what keeps per-connection response bytes
+//     identical to the single-loop server: ordering is per-connection, and
+//     every request is explained by a fresh explainer seeded from the
+//     request itself.
 //   * Partitioned cache — the configured capacity is split evenly across
 //     shards; within a shard, keys spread over the existing hash-sharded
 //     LRU.  Drift epochs are per shard: each shard's monitor watches the

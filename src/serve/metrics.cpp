@@ -111,7 +111,6 @@ void ServiceMetrics::reset() noexcept {
     for (auto& c : explainer_fast_hits) c.reset();
     for (auto& h : explainer_compute_us) h.reset();
     queue_depth.reset();
-    adaptive_wait_us.reset();
     batch_size.reset();
     service_time_us.reset();
     compute_time_us.reset();

@@ -102,7 +102,7 @@ struct ServiceMetrics {
     Counter requests_rejected;   ///< submissions refused at the door
     Counter requests_completed;  ///< responses delivered (hit or computed)
     Counter requests_degraded;   ///< responses served below full fidelity
-    Counter batches;             ///< micro-batch flushes executed
+    Counter batches;             ///< batches executed
     Counter cache_hits;
     Counter cache_misses;
     /// Per-ServeError failure tally, indexed by the enum value: submit-time
@@ -126,7 +126,6 @@ struct ServiceMetrics {
     std::array<Counter, kNumExplainers> explainer_fast_hits;
     std::array<Histogram, kNumExplainers> explainer_compute_us;
     Gauge queue_depth;
-    Gauge adaptive_wait_us;      ///< effective micro-batch wait (adaptive policy)
     Histogram batch_size;        ///< requests per flushed batch
     Histogram service_time_us;   ///< enqueue -> response, per request
     Histogram compute_time_us;   ///< model/explainer time, per cache miss
@@ -228,9 +227,6 @@ struct ServiceStats {
     std::uint64_t drift_checks = 0;
     std::uint64_t drift_flushes = 0;
     std::uint64_t cache_epoch = 0;
-    /// Effective micro-batch max_wait chosen by the adaptive policy (equals
-    /// the configured wait when the policy is disabled or unpressured).
-    std::uint64_t adaptive_wait_us = 0;
 
     /// TCP front-end section (src/net/); all-zero with `net_enabled` false
     /// when the service runs in-process only.

@@ -377,7 +377,6 @@ std::string render_stats(const ServiceStats& s) {
     w.field("cache_epoch", s.cache_epoch);
     w.field("drift_checks", s.drift_checks);
     w.field("drift_flushes", s.drift_flushes);
-    w.field("adaptive_wait_us", s.adaptive_wait_us);
     w.field("service_us_p50", s.service_us_p50);
     w.field("service_us_p95", s.service_us_p95);
     w.field("service_us_p99", s.service_us_p99);

@@ -3,10 +3,11 @@
 //
 // The admission edge of the explanation service: producers (CLI front-end,
 // tests, embedding applications) try_push() jobs; the dispatcher thread
-// pop_wait()s them into the micro-batcher.  The queue is bounded because an
-// overload policy of "grow forever" just converts overload into latency and
-// eventually OOM — a full queue instead rejects immediately with a reason the
-// caller can surface (HTTP 429 semantics, in-process).
+// pop_wait()s the first job of a batch and try_pop()s the rest that are
+// already queued.  The queue is bounded because an overload policy of "grow
+// forever" just converts overload into latency and eventually OOM — a full
+// queue instead rejects immediately with a reason the caller can surface
+// (HTTP 429 semantics, in-process).
 //
 // Multi-tenant fairness (DESIGN.md section 14): each job carries a model
 // class index; the queue keeps one FIFO per class, enforces an optional
@@ -128,8 +129,8 @@ struct ClassConfig {
 /// quotas and deficit-weighted-round-robin pop order.
 ///
 /// try_push never blocks: a full or closed queue rejects with a reason.
-/// pop_wait blocks up to a deadline so the dispatcher can honor the
-/// micro-batcher's flush timer while parked on an empty queue.
+/// pop_wait blocks up to a deadline so a dispatcher parked on an empty queue
+/// still wakes periodically (heartbeat, shutdown).
 class RequestQueue {
 public:
     /// `depth` is the global backpressure limit (clamped to at least 1).

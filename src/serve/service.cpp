@@ -170,15 +170,7 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
                               config_.fault_injector},
                 &background_),
       queue_(config_.queue_depth),
-      batcher_(BatcherConfig{config_.max_batch, config_.max_wait}),
-      degrade_(config_.degradation),
-      adaptive_([this] {
-          // The policy's ceiling is always the configured wait; only the
-          // pressure terms come from the adaptive config.
-          AdaptiveBatchConfig a = config_.adaptive;
-          a.max_wait = config_.max_wait;
-          return AdaptiveBatchPolicy(a);
-      }()) {
+      degrade_(config_.degradation) {
     if (config_.method != kAutoMethod && !known_method(config_.method))
         throw std::runtime_error("unknown method '" + config_.method +
                                  "' (expected " + explainer_list_with_auto() + ")");
@@ -190,8 +182,6 @@ ExplanationService::ExplanationService(std::shared_ptr<const ml::Model> model,
         hash_string("flat_tree_shap_v1", 0xcbf29ce484222325ULL);
     explainer_config_fp_[explainer_index("integrated_gradients")] = fnv1a_u64(
         config_.ig_steps, hash_string("ig_steps", 0xcbf29ce484222325ULL));
-    metrics_.adaptive_wait_us.set(
-        static_cast<std::uint64_t>(config_.max_wait.count()));
     // The constructor's model becomes the default (first-loaded) entry; any
     // configured extra models follow, in order.  The registry wires each
     // entry's DWRR class config into the queue as it is created.
@@ -384,39 +374,33 @@ void ExplanationService::dispatcher_loop() {
         heartbeat();
         if (fault_fires(inj, FaultPoint::worker_death)) {
             // Simulated crash: exit without draining.  The watchdog notices
-            // and respawns; queued jobs survive in the queue/batcher.
+            // and respawns; queued jobs survive in the queue.
             dispatcher_exited_.store(true, std::memory_order_release);
             return;
         }
         if (fault_fires(inj, FaultPoint::queue_stall))
             std::this_thread::sleep_for(config_.fault_stall);
-        if (adaptive_.enabled()) {
-            // Re-plan the flush timeout from the live load signals; the
-            // policy is pure, so this is just arithmetic on two gauges.
-            const auto wait = adaptive_.effective_wait(
-                {queue_.size(), metrics_.service_time_us.quantile(0.99)});
-            batcher_.set_max_wait(wait);
-            metrics_.adaptive_wait_us.set(static_cast<std::uint64_t>(wait.count()));
-        }
-        const auto now = Clock::now();
-        if (batcher_.due(now)) {
-            execute_batch(batcher_.flush());
-            continue;
-        }
-        // Park on the queue until the flush timer fires or (with no pending
-        // batch) a periodic wake-up to notice shutdown.
-        const auto deadline =
-            batcher_.deadline().value_or(now + std::chrono::milliseconds(50));
-        if (auto job = queue_.pop_wait(deadline)) {
-            metrics_.queue_depth.set(queue_.size());
-            if (batcher_.add(std::move(*job), Clock::now()))
-                execute_batch(batcher_.flush());
-        } else if (queue_.closed()) {
-            // Drained: serve the stragglers and exit.
-            if (batcher_.pending() > 0) execute_batch(batcher_.flush());
-            if (queue_.size() == 0) return;
-        }
+        // Park until a job arrives, waking periodically to beat the heartbeat
+        // and notice shutdown.  The job that wakes the dispatcher starts a
+        // batch at once; it never waits for more (DESIGN.md section 9).
+        if (auto job = queue_.pop_wait(Clock::now() + std::chrono::milliseconds(50)))
+            execute_batch(take_batch(std::move(*job)));
+        else if (queue_.closed() && queue_.size() == 0)
+            return;
     }
+}
+
+std::vector<Job> ExplanationService::take_batch(Job first) {
+    std::vector<Job> batch;
+    batch.reserve(config_.max_batch);
+    batch.push_back(std::move(first));
+    while (batch.size() < config_.max_batch) {
+        auto job = queue_.try_pop();
+        if (!job) break;
+        batch.push_back(std::move(*job));
+    }
+    metrics_.queue_depth.set(queue_.size());
+    return batch;
 }
 
 void ExplanationService::watchdog_loop() {
@@ -460,11 +444,7 @@ void ExplanationService::watchdog_loop() {
 }
 
 void ExplanationService::drain_inline() {
-    while (auto job = queue_.try_pop()) {
-        if (batcher_.add(std::move(*job), Clock::now()))
-            execute_batch(batcher_.flush());
-    }
-    if (batcher_.pending() > 0) execute_batch(batcher_.flush());
+    while (auto job = queue_.try_pop()) execute_batch(take_batch(std::move(*job)));
 }
 
 CacheKey ExplanationService::key_for(const Job& job) const {
@@ -942,7 +922,6 @@ ServiceStats ExplanationService::stats() const {
     }
     s.drift_checks = metrics_.drift_checks.value();
     s.drift_flushes = metrics_.drift_flushes.value();
-    s.adaptive_wait_us = metrics_.adaptive_wait_us.value();
 
     // Registry section: per-model slices in registration order.  The
     // top-level cache occupancy/epoch fields report fleet totals (epoch:

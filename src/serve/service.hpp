@@ -1,12 +1,13 @@
-// Online explanation service: cache -> queue -> micro-batcher -> thread pool.
+// Online explanation service: cache -> queue -> dispatcher -> thread pool.
 //
 // Long-running, in-process front door for explanation traffic.  Producers
 // submit() ExplainRequests.  A request whose answer is already cached is
 // answered at admission, on the submitting thread; every other request is
-// queued, and a dispatcher thread coalesces them into micro-batches
-// (serve/batcher.hpp) and executes each batch as one parallel_for over the
-// shared pool (core/parallel.hpp), probing the sharded LRU explanation cache
-// again first.  Every stage is instrumented (serve/metrics.hpp).
+// queued.  A dispatcher thread wakes on the first queued job, takes it plus
+// whatever else is already queued (up to max_batch; it never waits for more)
+// and executes that batch as one parallel_for over the shared pool
+// (core/parallel.hpp), probing the sharded LRU explanation cache again
+// first.  Every stage is instrumented (serve/metrics.hpp).
 //
 // Determinism contract (the serving extension of DESIGN.md section 8):
 //
@@ -54,8 +55,6 @@
 #include "core/drift.hpp"
 #include "core/explanation.hpp"
 #include "mlcore/model.hpp"
-#include "serve/adaptive.hpp"
-#include "serve/batcher.hpp"
 #include "serve/degradation.hpp"
 #include "serve/errors.hpp"
 #include "serve/explainers.hpp"
@@ -133,9 +132,10 @@ struct ServiceConfig {
     std::size_t interaction_points = 64;
     /// Backpressure bound of the admission queue.
     std::size_t queue_depth = 256;
-    /// Micro-batch flush thresholds (see serve/batcher.hpp).
+    /// Most jobs one batch takes from the queue.  The dispatcher never
+    /// waits to fill a batch: it takes the job that woke it plus whatever
+    /// else is already queued, up to this cap.
     std::size_t max_batch = 16;
-    std::chrono::microseconds max_wait{200};
     /// LRU cache geometry.  quantum == 0 keys on exact feature bit patterns
     /// (lossless: hits only for true repeats); quantum > 0 buckets features
     /// to that grid, trading bitwise fidelity for hit rate.
@@ -148,12 +148,6 @@ struct ServiceConfig {
     /// Overload ladder thresholds; all-zero (the default) disables
     /// degradation entirely.
     DegradationConfig degradation;
-
-    /// Adaptive micro-batching: shrink max_wait as queue depth / service
-    /// p99 approach the SLO (serve/adaptive.hpp).  Disabled by default; the
-    /// policy's ceiling is overwritten with `max_wait` at construction so
-    /// the two knobs cannot disagree.
-    AdaptiveBatchConfig adaptive;
 
     /// Per-tenant circuit breaker on the registry path (serve/registry.hpp):
     /// each model entry trips open when its compute error rate over a full
@@ -312,9 +306,12 @@ public:
 private:
     void dispatcher_loop();
     void watchdog_loop();
+    /// `first` plus whatever else is already queued, up to max_batch; never
+    /// waits.  Updates the queue-depth gauge.
+    [[nodiscard]] std::vector<Job> take_batch(Job first);
     void execute_batch(std::vector<Job> batch);
-    /// Drains whatever is left in the queue/batcher on the calling thread —
-    /// the shutdown path after both worker threads have been joined.
+    /// Drains whatever is left in the queue on the calling thread — the
+    /// shutdown path after both worker threads have been joined.
     void drain_inline();
     /// Validation/resolution half of submit_async(): resolves the model
     /// name, validates the payload, and stamps `job` (entry, pinned
@@ -388,9 +385,7 @@ private:
     std::array<std::uint64_t, kNumExplainers> explainer_config_fp_{};
     ModelRegistry registry_;
     RequestQueue queue_;
-    MicroBatcher batcher_;
     DegradationPolicy degrade_;
-    AdaptiveBatchPolicy adaptive_;
     mutable ServiceMetrics metrics_;
     /// Memoized interaction tables keyed by model-snapshot fingerprint (see
     /// interaction_table()).  The mutex is held across the one-time compute:

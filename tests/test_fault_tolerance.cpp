@@ -27,6 +27,7 @@
 #include "serve/ndjson.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 
 namespace ml = xnfv::ml;
 namespace serve = xnfv::serve;
@@ -38,22 +39,7 @@ using std::chrono::milliseconds;
 
 namespace {
 
-struct Gate {
-    std::mutex m;
-    std::condition_variable cv;
-    bool open = false;
-    void wait() {
-        std::unique_lock lock(m);
-        cv.wait(lock, [this] { return open; });
-    }
-    void release() {
-        {
-            std::lock_guard lock(m);
-            open = true;
-        }
-        cv.notify_all();
-    }
-};
+using xnfv::testutil::Gate;
 
 std::shared_ptr<const ml::Model> sum_model() {
     return std::make_shared<ml::LambdaModel>(3, [](std::span<const double> x) {
@@ -226,7 +212,6 @@ TEST(ExplanationService, DegradesUnderQueueDepthAndNeverCachesDegraded) {
     cfg.method = "sampling";
     cfg.seed = 5;
     cfg.max_batch = 1;  // the first request becomes its own stuck batch
-    cfg.max_wait = microseconds(0);
     cfg.threads = 1;
     cfg.degradation.reduced_queue_depth = 2;
     cfg.degradation.baseline_queue_depth = 4;
@@ -308,7 +293,6 @@ TEST(ExplanationService, ExpiredDeadlineAnsweredWithoutComputing) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 1;
-    cfg.max_wait = microseconds(0);
     cfg.threads = 1;
     serve::ExplanationService service(model, tiny_background(), cfg);
 

@@ -196,7 +196,6 @@ TEST(MultiTenantService, QuotaRejectionsCountAgainstTheHotTenantOnly) {
     cfg.seed = 11;
     cfg.queue_depth = 64;
     cfg.max_batch = 4;
-    cfg.max_wait = std::chrono::microseconds(50);
     cfg.extra_models.push_back({"hot", s.tree, 1, /*quota=*/4});
     serve::ExplanationService service(s.forest, s.background, cfg);
 
@@ -261,7 +260,6 @@ TEST(MultiTenantService, ColdTenantCompletesEverythingUnderSustainedFlood) {
     cfg.seed = 11;
     cfg.queue_depth = 32;
     cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(50);
     cfg.extra_models.push_back({"hot", s.tree, 1, /*quota=*/8});
     serve::ExplanationService service(s.forest, s.background, cfg);
 

@@ -10,7 +10,7 @@
 // The rest covers the failure policy: pipelined ordering (including cache
 // hits answered at admission behind misses still computing), per-connection id
 // assignment, connection-limit rejection, slow-reader backpressure close,
-// idle timeout, and graceful drain with requests still in the micro-batcher.
+// idle timeout, and graceful drain with requests still queued.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -31,6 +31,7 @@
 #include "net/server.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace ml = xnfv::ml;
@@ -321,22 +322,42 @@ TEST(NetServer, IdleConnectionTimedOut) {
     EXPECT_EQ(h.server->stats().connections_closed_idle, 1u);
 }
 
-TEST(NetServer, GracefulDrainFlushesRequestsStillInBatcher) {
+TEST(NetServer, GracefulDrainFlushesQueuedRequests) {
+    // A second model whose every evaluation waits on the gate: a request
+    // for it holds the one dispatcher inside its batch, so the requests sent
+    // after it stay queued until the gate opens.
+    auto gate = std::make_shared<xnfv::testutil::Gate>();
     serve::ServiceConfig scfg;
-    scfg.max_wait = std::chrono::microseconds(300000);  // park in the batcher
-    scfg.max_batch = 64;
+    scfg.max_batch = 2;
+    scfg.extra_models.push_back(
+        {"gate", std::make_shared<ml::LambdaModel>(scenario().data.x.cols(),
+                                                   [gate](std::span<const double>) {
+                                                       gate->wait();
+                                                       return 0.0;
+                                                   })});
     Harness h(scfg);
     auto client = h.connect();
-    for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(client.send_line(R"({"op":"explain","row":)" +
-                                     std::to_string(i) + "}"));
-    // Give the loop time to read and admit the frames, then drain while the
-    // micro-batch is still waiting for its flush timer.
-    std::this_thread::sleep_for(100ms);
+    ASSERT_TRUE(
+        client.send_line(R"({"op":"explain","model":"gate","method":"occlusion","row":0})"));
+    gate->wait_entered();
+    // No ASSERT until the gate opens: teardown would wait on the held
+    // dispatcher forever.
+    for (const int row : {0, 0, 1, 2, 3})
+        EXPECT_TRUE(client.send_line(R"({"op":"explain","row":)" +
+                                     std::to_string(row) + "}"));
+    // Drain once the loop has admitted every frame, while five of them wait
+    // in the queue behind the parked batch.
+    const auto deadline = std::chrono::steady_clock::now() + kRecvTimeout;
+    while (h.service->stats().requests_accepted < 6 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(1ms);
+    EXPECT_EQ(h.service->stats().requests_accepted, 6u) << "frames never admitted";
     h.server->request_drain();
+    std::this_thread::sleep_for(50ms);
+    gate->release();
 
     // Every in-flight request is still answered, in order...
-    for (std::uint64_t want = 1; want <= 5; ++want) {
+    for (std::uint64_t want = 1; want <= 6; ++want) {
         const auto parsed = serve::parse_json(must_recv(client));
         EXPECT_EQ(parsed.get_number("id", 0), static_cast<double>(want));
         EXPECT_EQ(parsed.find("ok")->boolean, true);
@@ -345,6 +366,13 @@ TEST(NetServer, GracefulDrainFlushesRequestsStillInBatcher) {
     std::string line;
     EXPECT_FALSE(client.recv_line(line, std::chrono::milliseconds(10000)));
     h.stop();
+    // The queue drained in batches of at most max_batch: {0, 0}, {1, 2},
+    // {3}, and the repeated row 0 shared its batch-mate's computation.
+    const auto stats = h.service->stats();
+    EXPECT_EQ(stats.batches, 4u);  // the gated request's, then three
+    EXPECT_EQ(stats.batch_size_max, 2u);
+    EXPECT_EQ(stats.cache_misses, 5u);
+    EXPECT_EQ(stats.cache_hits, 1u);
 }
 
 TEST(NetServer, HalfCloseStillAnswersInFlight) {

@@ -1,7 +1,7 @@
 // Unit tests for the online explanation service building blocks: bounded
-// queue backpressure, micro-batcher flush policies (with an explicit clock,
-// so flush-by-timeout is deterministic), sharded LRU cache accounting,
-// metrics, the ND-JSON codec, and the assembled ExplanationService.
+// queue backpressure, sharded LRU cache accounting, metrics, the ND-JSON
+// codec, and the assembled ExplanationService (including how its dispatcher
+// drains queued jobs into batches).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "core/interaction.hpp"
-#include "serve/batcher.hpp"
 #include "serve/explanation_cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 
 namespace ml = xnfv::ml;
 namespace serve = xnfv::serve;
@@ -99,39 +99,6 @@ TEST(RequestQueue, PopWaitTimesOutOnEmptyQueue) {
     const auto start = Clock::now();
     EXPECT_FALSE(queue.pop_wait(start + std::chrono::milliseconds(20)).has_value());
     EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(19));
-}
-
-// -------------------------------------------------------------- batcher ---
-
-TEST(MicroBatcher, FlushesBySize) {
-    serve::MicroBatcher batcher({.max_batch = 3, .max_wait = microseconds(1000000)});
-    const auto t0 = Clock::now();
-    EXPECT_FALSE(batcher.add(make_job(1), t0));
-    EXPECT_FALSE(batcher.add(make_job(2), t0));
-    EXPECT_TRUE(batcher.add(make_job(3), t0));  // full -> caller must flush
-    EXPECT_TRUE(batcher.due(t0));               // full batches are due immediately
-
-    const auto batch = batcher.flush();
-    ASSERT_EQ(batch.size(), 3u);
-    EXPECT_EQ(batch[0].request.id, 1u);
-    EXPECT_EQ(batch[2].request.id, 3u);
-    EXPECT_EQ(batcher.pending(), 0u);
-    EXPECT_FALSE(batcher.due(t0 + std::chrono::hours(1)));  // empty is never due
-}
-
-TEST(MicroBatcher, FlushesByTimeoutFromOldestPending) {
-    serve::MicroBatcher batcher({.max_batch = 100, .max_wait = microseconds(200)});
-    const auto t0 = Clock::now();
-    EXPECT_FALSE(batcher.add(make_job(1), t0));
-    // A later add does not restart the timer: deadline stays t0 + 200us.
-    EXPECT_FALSE(batcher.add(make_job(2), t0 + microseconds(150)));
-    ASSERT_TRUE(batcher.deadline().has_value());
-    EXPECT_EQ(*batcher.deadline(), t0 + microseconds(200));
-
-    EXPECT_FALSE(batcher.due(t0 + microseconds(199)));
-    EXPECT_TRUE(batcher.due(t0 + microseconds(200)));
-    EXPECT_EQ(batcher.flush().size(), 2u);
-    EXPECT_FALSE(batcher.deadline().has_value());
 }
 
 // ---------------------------------------------------------------- cache ---
@@ -315,24 +282,7 @@ TEST(NdJson, WriterEmitsValidEscapedJson) {
 
 namespace {
 
-/// Gate every model evaluation can block on — lets tests hold the dispatcher
-/// inside a batch while they fill the queue behind it.
-struct Gate {
-    std::mutex m;
-    std::condition_variable cv;
-    bool open = false;
-    void wait() {
-        std::unique_lock lock(m);
-        cv.wait(lock, [this] { return open; });
-    }
-    void release() {
-        {
-            std::lock_guard lock(m);
-            open = true;
-        }
-        cv.notify_all();
-    }
-};
+using xnfv::testutil::Gate;
 
 std::shared_ptr<const ml::Model> sum_model() {
     return std::make_shared<ml::LambdaModel>(3, [](std::span<const double> x) {
@@ -352,13 +302,40 @@ serve::ExplainRequest request_for(std::uint64_t id, std::vector<double> features
     return r;
 }
 
+/// First feature of the one instance gated_sum_model() parks on.
+constexpr double kSentinel = -1000.0;
+
+/// sum_model() that blocks on `gate` while evaluating the sentinel instance,
+/// and counts its evaluations into `evals` when given.
+std::shared_ptr<const ml::Model> gated_sum_model(
+    std::shared_ptr<Gate> gate, std::shared_ptr<std::atomic<int>> evals = nullptr) {
+    return std::make_shared<ml::LambdaModel>(
+        3, [gate, evals](std::span<const double> x) {
+            if (x[0] == kSentinel) gate->wait();
+            if (evals) evals->fetch_add(1);
+            return 0.25 * x[0] + 0.5 * x[1] - x[2];
+        });
+}
+
+/// Submits the sentinel miss and returns once the dispatcher is held on the
+/// gate inside its batch: every job queued from here on waits for release()
+/// and is then drained by the next batches, which cannot start earlier.
+/// Callers must reach release() (no ASSERT in between), or stopping the
+/// service would wait on the held dispatcher forever.
+std::future<serve::ExplainResponse> park_dispatcher(serve::ExplanationService& service,
+                                                    Gate& gate) {
+    auto sub = service.submit(request_for(0, {kSentinel, 0.0, 0.0}));
+    EXPECT_EQ(sub.rejected, serve::ServeError::none);
+    if (sub.rejected == serve::ServeError::none) gate.wait_entered();
+    return std::move(sub.response);
+}
+
 }  // namespace
 
 TEST(ExplanationService, ServesRequestsAndCountsCacheHits) {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 4;
-    cfg.max_wait = microseconds(100);
     serve::ExplanationService service(sum_model(), tiny_background(), cfg);
 
     const auto first = service.explain_sync(request_for(1, {1.0, 2.0, 3.0}));
@@ -415,7 +392,6 @@ TEST(ExplanationService, BackpressureRejectsWhenQueueIsFull) {
     cfg.method = "occlusion";
     cfg.queue_depth = 2;
     cfg.max_batch = 1;       // dispatcher commits to a batch per request
-    cfg.max_wait = microseconds(0);
     cfg.threads = 1;         // compute runs inline on the dispatcher thread
     serve::ExplanationService service(model, tiny_background(), cfg);
 
@@ -490,25 +466,34 @@ TEST(ExplanationService, StopRejectsEvenCachedKeys) {
 }
 
 TEST(ExplanationService, DuplicateRequestsWithinOneBatchComputeOnce) {
+    auto gate = std::make_shared<Gate>();
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 4;
-    cfg.max_wait = std::chrono::microseconds(50000);  // force one batch of 4
-    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    cfg.threads = 1;
+    serve::ExplanationService service(gated_sum_model(gate), tiny_background(), cfg);
+    auto sentinel = park_dispatcher(service, *gate);
 
+    // Queued behind the parked batch, so all four are drained as one batch
+    // (none is cached yet, so none is answered at admission).
     std::vector<std::future<serve::ExplainResponse>> futures;
-    for (std::uint64_t id = 0; id < 4; ++id) {
+    for (std::uint64_t id = 1; id <= 4; ++id) {
         auto sub = service.submit(request_for(id, {5.0, 6.0, 7.0}));
-        ASSERT_EQ(sub.rejected, serve::ServeError::none);
+        EXPECT_EQ(sub.rejected, serve::ServeError::none);
         futures.push_back(std::move(sub.response));
     }
+    gate->release();
+    ASSERT_TRUE(sentinel.get().ok);
     std::vector<serve::ExplainResponse> responses;
     for (auto& f : futures) responses.push_back(f.get());
 
     // One computation, three batch-local hits, identical bytes everywhere.
     const auto stats = service.stats();
-    EXPECT_EQ(stats.cache_misses, 1u);
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.batch_size_max, 4u);
+    EXPECT_EQ(stats.cache_misses, 2u);  // the sentinel and the first duplicate
     EXPECT_EQ(stats.cache_hits, 3u);
+    EXPECT_FALSE(responses[0].cache_hit);
     for (const auto& r : responses) {
         ASSERT_TRUE(r.ok);
         ASSERT_EQ(r.explanation.attributions.size(), 3u);
@@ -521,11 +506,12 @@ TEST(ExplanationService, DuplicateRequestsWithinOneBatchComputeOnce) {
 // ------------------------------------------- async completion channel ---
 
 TEST(ExplanationService, SubmitAsyncDeliversInAdmissionOrder) {
+    auto gate = std::make_shared<Gate>();
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
-    cfg.max_batch = 8;
-    cfg.max_wait = microseconds(50000);  // coalesce all three into one batch
-    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
+    cfg.max_batch = 2;  // order must hold across batch boundaries too
+    serve::ExplanationService service(gated_sum_model(gate), tiny_background(), cfg);
+    auto sentinel = park_dispatcher(service, *gate);
 
     std::mutex m;
     std::condition_variable cv;
@@ -538,8 +524,10 @@ TEST(ExplanationService, SubmitAsyncDeliversInAdmissionOrder) {
                 delivered.push_back(std::move(r));
                 cv.notify_one();
             });
-        ASSERT_EQ(rejected, serve::ServeError::none);
+        EXPECT_EQ(rejected, serve::ServeError::none);
     }
+    gate->release();
+    ASSERT_TRUE(sentinel.get().ok);
     std::unique_lock lock(m);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                             [&] { return delivered.size() == 3; }));
@@ -547,6 +535,56 @@ TEST(ExplanationService, SubmitAsyncDeliversInAdmissionOrder) {
         EXPECT_EQ(delivered[id - 1].id, id);
         EXPECT_TRUE(delivered[id - 1].ok);
     }
+    // The sentinel's batch, then {1, 2} across the pool, then {3}.
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 3u);
+    EXPECT_EQ(stats.batch_size_max, 2u);
+}
+
+TEST(ExplanationService, DrainTakesAtMostMaxBatchQueuedJobs) {
+    auto gate = std::make_shared<Gate>();
+    auto evals = std::make_shared<std::atomic<int>>(0);
+    serve::ServiceConfig cfg;
+    cfg.method = "occlusion";
+    cfg.max_batch = 4;
+    cfg.threads = 1;
+    serve::ExplanationService service(gated_sum_model(gate, evals), tiny_background(),
+                                      cfg);
+    auto sentinel = park_dispatcher(service, *gate);
+
+    // A batch computes all its misses before it delivers any answer, so the
+    // model's evaluation count seen at delivery time names the batch.
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<std::pair<std::uint64_t, int>> delivered;  // (id, evals)
+    for (std::uint64_t id = 1; id <= 10; ++id) {
+        const auto rejected = service.submit_async(
+            request_for(id, {static_cast<double>(id), 0.0, 1.0}),
+            [&](serve::ExplainResponse r) {
+                const std::lock_guard lock(m);
+                EXPECT_TRUE(r.ok);
+                delivered.emplace_back(r.id, evals->load());
+                cv.notify_one();
+            });
+        EXPECT_EQ(rejected, serve::ServeError::none);
+    }
+    gate->release();
+    ASSERT_TRUE(sentinel.get().ok);
+    std::unique_lock lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return delivered.size() == 10; }));
+
+    std::vector<std::size_t> batch_sizes;
+    for (std::size_t i = 0; i < delivered.size(); ++i) {
+        EXPECT_EQ(delivered[i].first, i + 1);  // admission order
+        if (i == 0 || delivered[i].second != delivered[i - 1].second)
+            batch_sizes.push_back(0);
+        ++batch_sizes.back();
+    }
+    EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{4, 4, 2}));
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 4u);  // the sentinel's, then 4 + 4 + 2
+    EXPECT_EQ(stats.batch_size_max, 4u);
 }
 
 TEST(ExplanationService, SubmitAsyncRejectsWithoutInvokingCallback) {
@@ -714,7 +752,6 @@ serve::ServiceConfig drift_config() {
     serve::ServiceConfig cfg;
     cfg.method = "occlusion";
     cfg.max_batch = 1;  // one request per batch: windows fill predictably
-    cfg.max_wait = microseconds(100);
     cfg.drift_window = 2;
     return cfg;
 }
@@ -778,20 +815,6 @@ TEST(ExplanationService, CacheHitsDoNotAdvanceDriftWindows) {
     EXPECT_EQ(stats.cache_hits, 5u);
     EXPECT_EQ(stats.drift_checks, 0u);
     EXPECT_EQ(stats.cache_epoch, 0u);
-}
-
-// ----------------------------------------- adaptive wait instrumentation ---
-
-TEST(ExplanationService, AdaptiveWaitGaugeReportsCeilingWhenUnpressured) {
-    serve::ServiceConfig cfg;
-    cfg.method = "occlusion";
-    cfg.max_wait = microseconds(300);
-    cfg.adaptive.slo_p99_us = 1e9;  // enabled, but unreachable SLO
-    cfg.adaptive.min_wait = microseconds(10);
-    serve::ExplanationService service(sum_model(), tiny_background(), cfg);
-    ASSERT_TRUE(service.explain_sync(request_for(1, {1.0, 2.0, 3.0})).ok);
-    // No pressure: the effective wait equals the configured ceiling.
-    EXPECT_EQ(service.stats().adaptive_wait_us, 300u);
 }
 
 // ------------------------------------------- interaction-aware serving ---

@@ -16,6 +16,7 @@
 #include "mlcore/forest.hpp"
 #include "serve/ndjson.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "workload/dataset_builder.hpp"
 
 namespace ml = xnfv::ml;
@@ -81,25 +82,37 @@ serve::ExplainRequest request_for_row(std::uint64_t id, std::size_t row) {
     return r;
 }
 
-/// Submits every test row asynchronously (so the micro-batcher can coalesce
-/// them) and checks each response against the one-shot reference.
-void check_service_matches_one_shot(const std::string& method,
-                                    serve::ServiceConfig cfg) {
-    cfg.method = method;
-    cfg.seed = kSeed;
-    serve::ExplanationService service(scenario().forest, scenario().background, cfg);
-
+/// Submits every test row asynchronously, so queued rows can share a batch.
+std::vector<std::future<serve::ExplainResponse>> submit_rows(
+    serve::ExplanationService& service) {
     std::vector<std::future<serve::ExplainResponse>> futures;
     for (std::size_t k = 0; k < test_rows().size(); ++k) {
         auto sub = service.submit(request_for_row(k, test_rows()[k]));
-        ASSERT_EQ(sub.rejected, serve::ServeError::none);
+        EXPECT_EQ(sub.rejected, serve::ServeError::none);
         futures.push_back(std::move(sub.response));
     }
+    return futures;
+}
+
+/// Checks each row's response against the one-shot reference.
+void expect_rows_match_one_shot(const std::string& method,
+                                std::vector<std::future<serve::ExplainResponse>>& futures) {
     for (std::size_t k = 0; k < futures.size(); ++k) {
         const auto response = futures[k].get();
         ASSERT_TRUE(response.ok) << response.error;
         expect_identical(response.explanation, one_shot(method, test_rows()[k]));
     }
+}
+
+/// Serves every test row at `cfg` and checks each against the one-shot
+/// reference.
+void check_service_matches_one_shot(const std::string& method,
+                                    serve::ServiceConfig cfg) {
+    cfg.method = method;
+    cfg.seed = kSeed;
+    serve::ExplanationService service(scenario().forest, scenario().background, cfg);
+    auto futures = submit_rows(service);
+    expect_rows_match_one_shot(method, futures);
 }
 
 serve::ServiceConfig sequential_config() {
@@ -116,12 +129,44 @@ serve::ServiceConfig batched_config() {
     return cfg;
 }
 
-serve::ServiceConfig coalescing_config() {
+/// Queues every test row behind a batch parked on a gate, so the dispatcher
+/// drains them all into one batch once the gate opens: they are computed
+/// across the pool together and the repeated row is a batch-local hit.
+void check_one_batch_matches_one_shot(const std::string& method) {
+    auto gate = std::make_shared<xnfv::testutil::Gate>();
     serve::ServiceConfig cfg;
+    cfg.method = method;
+    cfg.seed = kSeed;
     cfg.max_batch = 16;
-    cfg.max_wait = std::chrono::microseconds(20000);  // whole set in one batch
     cfg.threads = 8;
-    return cfg;
+    // Every evaluation of this second model waits on the gate; the one
+    // dispatcher serves both models, so the sentinel's batch holds it.
+    cfg.extra_models.push_back(
+        {"gate", std::make_shared<ml::LambdaModel>(scenario().data.x.cols(),
+                                                   [gate](std::span<const double>) {
+                                                       gate->wait();
+                                                       return 0.0;
+                                                   })});
+    serve::ExplanationService service(scenario().forest, scenario().background, cfg);
+
+    auto sentinel = request_for_row(test_rows().size(), 0);
+    sentinel.model = "gate";
+    sentinel.method = "occlusion";
+    auto parked = service.submit(std::move(sentinel));
+    ASSERT_EQ(parked.rejected, serve::ServeError::none);
+    gate->wait_entered();
+    // submit_rows() asserts nothing, so the gate always opens: stopping the
+    // service would otherwise wait on the held dispatcher forever.
+    auto futures = submit_rows(service);
+    gate->release();
+    ASSERT_TRUE(parked.response.get().ok);
+    expect_rows_match_one_shot(method, futures);
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.batches, 2u);
+    EXPECT_EQ(stats.batch_size_max, test_rows().size());
+    EXPECT_EQ(stats.cache_misses, 5u);  // the sentinel and 4 distinct rows
+    EXPECT_EQ(stats.cache_hits, 1u);    // the repeated row
 }
 
 }  // namespace
@@ -129,23 +174,23 @@ serve::ServiceConfig coalescing_config() {
 TEST(ServiceDeterminism, TreeShapServedEqualsOneShotAtAnyBatchSizeAndThreads) {
     check_service_matches_one_shot("tree_shap", sequential_config());
     check_service_matches_one_shot("tree_shap", batched_config());
-    check_service_matches_one_shot("tree_shap", coalescing_config());
+    check_one_batch_matches_one_shot("tree_shap");
 }
 
 TEST(ServiceDeterminism, KernelShapServedEqualsOneShotAtAnyBatchSizeAndThreads) {
     check_service_matches_one_shot("kernel_shap", sequential_config());
     check_service_matches_one_shot("kernel_shap", batched_config());
-    check_service_matches_one_shot("kernel_shap", coalescing_config());
+    check_one_batch_matches_one_shot("kernel_shap");
 }
 
 TEST(ServiceDeterminism, SamplingShapleyServedEqualsOneShot) {
     check_service_matches_one_shot("sampling", sequential_config());
-    check_service_matches_one_shot("sampling", coalescing_config());
+    check_one_batch_matches_one_shot("sampling");
 }
 
 TEST(ServiceDeterminism, LimeServedEqualsOneShot) {
     check_service_matches_one_shot("lime", sequential_config());
-    check_service_matches_one_shot("lime", coalescing_config());
+    check_one_batch_matches_one_shot("lime");
 }
 
 TEST(ServiceDeterminism, OcclusionServedEqualsOneShot) {
@@ -202,23 +247,9 @@ TEST(ServiceDeterminism, CacheHitReturnsIdenticalBytes) {
 
 TEST(ServiceDeterminism, RepeatedRowsInOneBatchMatchOneShot) {
     // The row list contains a repeat (rows[1] == rows[4]); with the whole
-    // set coalesced into one batch the duplicate is served from the batch-
+    // set drained into one batch the duplicate is served from the batch-
     // local result and must still equal the one-shot reference bitwise.
-    serve::ServiceConfig cfg = coalescing_config();
-    cfg.method = "lime";
-    cfg.seed = kSeed;
-    serve::ExplanationService service(scenario().forest, scenario().background, cfg);
-
-    std::vector<std::future<serve::ExplainResponse>> futures;
-    for (std::size_t k = 0; k < test_rows().size(); ++k) {
-        auto sub = service.submit(request_for_row(k, test_rows()[k]));
-        ASSERT_EQ(sub.rejected, serve::ServeError::none);
-        futures.push_back(std::move(sub.response));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-        const auto response = futures[k].get();
-        ASSERT_TRUE(response.ok) << response.error;
-        expect_identical(response.explanation, one_shot("lime", test_rows()[k]));
-    }
-    EXPECT_GT(service.stats().cache_hits, 0u);
+    // (The per-method tests above cover lime, sampling, kernel_shap and
+    // tree_shap this way; occlusion completes the set.)
+    check_one_batch_matches_one_shot("occlusion");
 }

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -77,6 +79,33 @@ inline xnfv::ml::Matrix make_uniform_background(std::size_t rows, std::size_t d,
         for (std::size_t c = 0; c < d; ++c) m(r, c) = rng.uniform(-1.0, 1.0);
     return m;
 }
+
+/// Gate a model evaluation can block on — lets a test hold the dispatcher
+/// inside a batch while it fills the queue behind it.
+struct Gate {
+    std::mutex m;
+    std::condition_variable cv;
+    bool open = false;
+    bool entered = false;  ///< a thread has reached wait()
+    void wait() {
+        std::unique_lock lock(m);
+        entered = true;
+        cv.notify_all();
+        cv.wait(lock, [this] { return open; });
+    }
+    /// Blocks until some thread is (or was) held in wait().
+    void wait_entered() {
+        std::unique_lock lock(m);
+        cv.wait(lock, [this] { return entered; });
+    }
+    void release() {
+        {
+            std::lock_guard lock(m);
+            open = true;
+        }
+        cv.notify_all();
+    }
+};
 
 /// Max absolute element-wise difference between two vectors.
 inline double max_abs_diff(std::span<const double> a, std::span<const double> b) {
